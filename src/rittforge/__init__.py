@@ -2,6 +2,7 @@
 
 Subpackages by capability:
 
+- dense: the dense univariate algorithms every polynomial class wraps
 - gaussian, poly, ratfun, bipoly: exact arithmetic foundation
 - decompose: functional decomposition and rewrite moves
 - characters: multiplicative characters on the composition semigroup

@@ -9,6 +9,9 @@ Two representations:
   fraction-free (Bareiss) over the polynomial ring instead of the fraction
   field.
 
+Both are thin shells over the dense univariate core in dense.py, which does
+their addition, multiplication, long division, evaluation and gcd.
+
 resultant_in_W(f, g) reads f as sum f_i(z) W^i and g as sum g_j(W) U^j and
 eliminates the shared W.  Denominators in the coefficients are cleared first
 and the known extraneous factors are divided back out at the end, so the
@@ -17,8 +20,10 @@ return value is the exact field resultant.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
+from . import dense
 from .poly import ONE_POLY, Poly, ZERO_POLY, constant, divmod_poly, poly_gcd
 from .ratfun import RF_ONE, RF_ZERO, RatFun, _as_ratfun
 
@@ -44,10 +49,7 @@ class BivarPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = list(self.coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", dense.trim(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -55,6 +57,9 @@ class BivarPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def lead(self) -> Poly:
         return self.coeffs[-1]
@@ -65,13 +70,7 @@ class BivarPoly:
         return ZERO_POLY
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BivarPoly(tuple(out))
+        return BivarPoly(dense.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -80,40 +79,14 @@ class BivarPoly:
         return BivarPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return BIVAR_ZERO
-        out = [ZERO_POLY] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(b):
-                out[i + j] = out[i + j] + ci * cj
-        return BivarPoly(tuple(out))
+        return BivarPoly(dense.mul(self.coeffs, other.coeffs, ZERO_POLY))
 
     def exact_div(self, d: "BivarPoly") -> "BivarPoly":
         """Exact division in the bivariate polynomial ring."""
-        if d.is_zero():
-            raise ZeroDivisionError("bivariate division by zero")
-        rem = list(self.coeffs)
-        dl = d.lead()
-        dd = d.degree
-        if self.is_zero():
-            return BIVAR_ZERO
-        if self.degree < dd:
+        q, r = dense.long_divmod(self.coeffs, d.coeffs, _exact_poly_div, ZERO_POLY)
+        if any(r):
             raise ArithmeticError("inexact bivariate division")
-        q = [ZERO_POLY] * (self.degree - dd + 1)
-        for k in range(self.degree - dd, -1, -1):
-            c = rem[k + dd]
-            if c.is_zero():
-                continue
-            f = _exact_poly_div(c, dl)
-            q[k] = f
-            for j, dc in enumerate(d.coeffs):
-                rem[k + j] = rem[k + j] - f * dc
-        if any(not r.is_zero() for r in rem):
-            raise ArithmeticError("inexact bivariate division")
-        return BivarPoly(tuple(q))
+        return BivarPoly(q)
 
     def content(self) -> Poly:
         """Monic gcd of the coefficients over the base variable."""
@@ -171,10 +144,7 @@ class BiPoly:
     coeffs_in_W: tuple
 
     def __post_init__(self):
-        cs = [_as_ratfun(c) for c in self.coeffs_in_W]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs_in_W", tuple(cs))
+        object.__setattr__(self, "coeffs_in_W", dense.trim(map(_as_ratfun, self.coeffs_in_W)))
 
     @property
     def degree(self) -> int:
@@ -182,6 +152,9 @@ class BiPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs_in_W
+
+    def __bool__(self):
+        return bool(self.coeffs_in_W)
 
     def lead(self) -> RatFun:
         return self.coeffs_in_W[-1]
@@ -195,13 +168,7 @@ class BiPoly:
         return bool(self.coeffs_in_W) and self.lead() == RF_ONE
 
     def __add__(self, other):
-        a, b = self.coeffs_in_W, other.coeffs_in_W
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BiPoly(tuple(out))
+        return BiPoly(dense.add(self.coeffs_in_W, other.coeffs_in_W))
 
     def __sub__(self, other):
         return self + (-other)
@@ -210,16 +177,7 @@ class BiPoly:
         return BiPoly(tuple(-c for c in self.coeffs_in_W))
 
     def __mul__(self, other):
-        a, b = self.coeffs_in_W, other.coeffs_in_W
-        if not a or not b:
-            return BiPoly(())
-        out = [RF_ZERO] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(b):
-                out[i + j] = out[i + j] + ci * cj
-        return BiPoly(tuple(out))
+        return BiPoly(dense.mul(self.coeffs_in_W, other.coeffs_in_W, RF_ZERO))
 
     def monic(self) -> "BiPoly":
         if self.is_zero():
@@ -234,10 +192,7 @@ class BiPoly:
 
     def eval_at(self, r: RatFun) -> RatFun:
         """Substitute the fiber variable."""
-        acc = RF_ZERO
-        for c in reversed(self.coeffs_in_W):
-            acc = acc * r + c
-        return acc
+        return dense.horner(self.coeffs_in_W, r, RF_ZERO)
 
     def clear_denominators(self):
         """Return (BivarPoly over the input variable, lcm L) with self = result / L."""
@@ -262,31 +217,13 @@ class BiPoly:
 
 def bipoly_divmod(a: BiPoly, b: BiPoly):
     """Long division in the fiber variable over the coefficient field."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero")
-    rem = list(a.coeffs_in_W)
-    bd = b.degree
-    bl = b.lead()
-    if a.degree < bd:
-        return BiPoly(()), a
-    q = [RF_ZERO] * (a.degree - bd + 1)
-    for k in range(a.degree - bd, -1, -1):
-        c = rem[k + bd]
-        if c.is_zero():
-            continue
-        f = c / bl
-        q[k] = f
-        for j, bc in enumerate(b.coeffs_in_W):
-            rem[k + j] = rem[k + j] - f * bc
-    return BiPoly(tuple(q)), BiPoly(tuple(rem[:bd]))
+    q, r = dense.long_divmod(a.coeffs_in_W, b.coeffs_in_W, operator.truediv, RF_ZERO)
+    return BiPoly(q), BiPoly(r)
 
 
 def bipoly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
-    while not b.is_zero():
-        a, b = b, bipoly_divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
+    g = dense.euclid_gcd(a, b, lambda x, y: bipoly_divmod(x, y)[1])
+    return g.monic() if g else g
 
 
 def _sylvester_det(a_coeffs, d_list) -> BivarPoly:

@@ -311,6 +311,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
+    except RecursionError:
+        print(json.dumps({"error": "input is nested too deeply"}))
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import dense
+
 
 def _coerce(x):
     if isinstance(x, GaussianRational):
@@ -88,14 +90,7 @@ class GaussianRational:
     def __pow__(self, k: int):
         if k < 0:
             return (GR_ONE / self) ** (-k)
-        result = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return dense.power(self, k, GR_ONE)
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import dense
 from .gaussian import GR_ZERO, GaussianRational, gr
 from .poly import Poly
 from .ratfun import RatFun, _as_ratfun
@@ -178,13 +179,6 @@ def _float_radius(cs) -> float:
     return max(1.0, (1.0 + sum(abs(c) for c in cs)) / abs(cs[-1]))
 
 
-def _horner(cs, z):
-    acc = 0.0 + 0.0j
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
-
-
 def float_orbit(R, a, max_iter: int = DEFAULT_MAX_ITER, eps: float = DEFAULT_EPS, escape_radius=None):
     """Numerical orbit classification by escape and eps-revisit.
 
@@ -202,14 +196,14 @@ def float_orbit(R, a, max_iter: int = DEFAULT_MAX_ITER, eps: float = DEFAULT_EPS
     z = complex(a)
     pts = [z]
     for n in range(1, max_iter + 1):
-        z = _horner(cs, z)
+        z = dense.horner(cs, z, 0j)
         if abs(z) > escape_radius:
             return InfiniteCertified(n)
         for j, w in enumerate(pts):
             if abs(z - w) <= eps:
                 mult = 1.0
                 for k in range(j, n):
-                    mult = mult * abs(_horner(der, pts[k]))
+                    mult = mult * abs(dense.horner(der, pts[k], 0j))
                 period = n - j
                 if mult < 1.0 - eps:
                     return AttractedNumeric(period, mult)
@@ -306,7 +300,7 @@ def render(
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        zn = _vhorner(cs, cur[idx])
+        zn = dense.horner(cs, cur[idx], 0j)
         esc = np.abs(zn) > escape_radius
         codes[idx[esc]] = ESCAPE
         live = idx[~esc]
@@ -321,7 +315,7 @@ def render(
             cells_j = live[hit]
             mult = np.ones(cells_j.size)
             for k in range(j, n):
-                mult = mult * np.abs(_vhorner(der, hist[k][cells_j]))
+                mult = mult * np.abs(dense.horner(der, hist[k][cells_j], 0j))
             att = mult < 1.0 - eps
             rep = mult > 1.0 + eps
             codes[cells_j[att]] = ATTRACTED
@@ -359,13 +353,6 @@ def render(
         tuple(int(p) for p in periods),
         tuple(int(p) for p in preperiods),
     )
-
-
-def _vhorner(cs, z):
-    acc = np.zeros_like(z)
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
 
 
 def _exact_map(R, cs):

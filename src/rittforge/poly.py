@@ -7,9 +7,11 @@ tuple and reports degree -1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import dense
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, gr
 
 
@@ -19,19 +21,12 @@ def _as_gr(x) -> GaussianRational:
     return GaussianRational(Fraction(x), Fraction(0))
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True, slots=True)
 class Poly:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(_as_gr(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", dense.trim(map(_as_gr, self.coeffs)))
 
     @property
     def degree(self) -> int:
@@ -64,13 +59,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return Poly(dense.add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -93,30 +82,14 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO_POLY
-        out = [GR_ZERO] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if not ci:
-                continue
-            for j, cj in enumerate(b):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(out)
+        return Poly(dense.mul(self.coeffs, other.coeffs, GR_ZERO))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = ONE_POLY
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return dense.power(self, k, ONE_POLY)
 
     def scale(self, s) -> "Poly":
         s = _as_gr(s)
@@ -131,21 +104,14 @@ class Poly:
         return Poly(tuple(c / lead for c in self.coeffs))
 
     def eval(self, x: GaussianRational) -> GaussianRational:
-        x = _as_gr(x)
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return dense.horner(self.coeffs, _as_gr(x), GR_ZERO)
 
     def __call__(self, x):
         return self.eval(x)
 
     def compose(self, other: "Poly") -> "Poly":
         """self(other(z)); constants absorb."""
-        acc = ZERO_POLY
-        for c in reversed(self.coeffs):
-            acc = acc * other + constant(c)
-        return acc
+        return dense.horner([constant(c) for c in self.coeffs], other, ZERO_POLY)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
@@ -212,32 +178,14 @@ X = Poly((GR_ZERO, GR_ONE))
 
 def divmod_poly(p: Poly, d: Poly):
     """Exact field division: p = q*d + r with deg r < deg d."""
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p.coeffs)
-    dd = d.degree
-    dl = d.lead()
-    if p.degree < dd:
-        return ZERO_POLY, p
-    q = [GR_ZERO] * (p.degree - dd + 1)
-    for k in range(p.degree - dd, -1, -1):
-        c = rem[k + dd]
-        if not c:
-            continue
-        f = c / dl
-        q[k] = f
-        for j, dc in enumerate(d.coeffs):
-            rem[k + j] = rem[k + j] - f * dc
-    return Poly(q), Poly(rem[:dd])
+    q, r = dense.long_divmod(p.coeffs, d.coeffs, operator.truediv, GR_ZERO)
+    return Poly(q), Poly(r)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, divmod_poly(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
+    g = dense.euclid_gcd(a, b, lambda x, y: divmod_poly(x, y)[1])
+    return g.monic() if g else g
 
 
 def chebyshev(n: int) -> Poly:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import dense
 from .gaussian import GaussianRational
 from .poly import ONE_POLY, Poly, ZERO_POLY, _as_gr, _as_poly, divmod_poly, poly_gcd
 
@@ -107,14 +108,7 @@ class RatFun:
     def __pow__(self, k: int):
         if k < 0:
             return (RF_ONE / self) ** (-k)
-        result = RF_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return dense.power(self, k, RF_ONE)
 
     def eval(self, x: GaussianRational) -> GaussianRational:
         d = self.den.eval(x)
@@ -169,10 +163,7 @@ def from_poly(p: Poly) -> RatFun:
 
 def poly_at_ratfun(p: Poly, g: RatFun) -> RatFun:
     """Evaluate the polynomial p at the rational function g."""
-    acc = RF_ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * g + RatFun(Poly((c,)), ONE_POLY)
-    return acc
+    return dense.horner([RatFun(Poly((c,)), ONE_POLY) for c in p.coeffs], g, RF_ZERO)
 
 
 RF_ZERO = RatFun(ZERO_POLY, ONE_POLY)

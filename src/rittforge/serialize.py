@@ -158,6 +158,9 @@ def corr_from_json(obj) -> FiniteCorr:
 
 # --- map expression parsing ------------------------------------------------
 
+# largest power a map expression may ask for; z^65536 already has 65537 coefficients
+MAX_EXPONENT = 1 << 16
+
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+\.\d+|\d+|[z+\-*^()])")
 
 
@@ -216,14 +219,26 @@ class _MapParser:
         return self.power()
 
     def power(self) -> Poly:
+        """'^' is right-associative: z^2^3 is z^(2^3)."""
         node = self.atom()
+        exps = []
         while self.peek() == "^":
             self.take()
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            node = node ** int(tok)
-        return node
+            exps.append(int(tok))
+        if not exps:
+            return node
+        e = exps.pop()
+        for b in reversed(exps):
+            # b**e > MAX_EXPONENT is decided before the power is computed
+            if b > 1 and e > MAX_EXPONENT.bit_length():
+                raise ValueError(f"exponent exceeds {MAX_EXPONENT}")
+            e = b**e
+        if e > MAX_EXPONENT:
+            raise ValueError(f"exponent exceeds {MAX_EXPONENT}")
+        return node**e
 
     def atom(self) -> Poly:
         tok = self.take()

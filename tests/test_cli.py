@@ -284,6 +284,16 @@ class TestExitCodes:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("arg", [
+        "(" * 2000 + "z" + ")" * 2000,
+        "[" * 100000 + "]" * 100000,
+        '{"coeffs": ' + "[" * 100000 + "]" * 100000 + "}",
+    ], ids=["parentheses", "bare-json", "json-coeffs"])
+    def test_deep_nesting_is_a_domain_error(self, capsys, arg):
+        code, out = run_cli(capsys, "decompose", arg)
+        assert code == 1
+        assert "error" in json.loads(out)
+
     def test_json_flag_position_is_flexible(self, capsys):
         for argv in (["--json", "char", "eval", "--kind", "degree", "z^2"],
                      ["char", "eval", "--kind", "degree", "z^2", "--json"]):

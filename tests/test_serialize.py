@@ -149,6 +149,16 @@ class TestMapParser:
         assert parse_map("2 * z ^ 2") == Poly((0, 0, 2))
         assert parse_map("(z^2)^3") == Poly((0, 0, 0, 0, 0, 0, 1))
 
+    def test_power_is_right_associative(self):
+        assert parse_map("z^2^3") == parse_map("z^8")
+        assert parse_map("2^3^2") == Poly((512,))
+
+    def test_exponent_budget(self):
+        assert parse_map("z^1^100000") == X
+        for bad in ("z^9^9^9", "z^2^2^2^2^2", "z^65537"):
+            with pytest.raises(ValueError):
+                parse_map(bad)
+
     def test_errors(self):
         for bad in ("z^", "q+1", "(z", "z^-2", "", "z z +"):
             with pytest.raises(ValueError):
