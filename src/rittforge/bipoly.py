@@ -91,8 +91,10 @@ class BivarPoly:
     def content(self) -> Poly:
         """Monic gcd of the coefficients over the base variable."""
         g = ZERO_POLY
-        for c in self.coeffs:
+        for c in sorted(self.coeffs, key=lambda c: c.degree):
             g = poly_gcd(g, c)
+            if g == ONE_POLY:
+                break
         return g
 
     def primitive(self) -> "BivarPoly":

@@ -1,8 +1,9 @@
 """Single-binary command-line frontend.
 
 Exit codes: 0 on success (JSON on stdout, plus PGM/CSV files for render),
-2 on argument errors (argparse usage message), 1 on domain errors with a
-machine-readable {"error": ...} on stdout.  Running with no arguments executes
+2 on argument errors (argparse usage message), 1 on domain errors and on a
+failed certificate (decompose.CertificateError), with a machine-readable
+{"error": ...} on stdout.  Running with no arguments executes
 the full acceptance suite.
 """
 
@@ -15,7 +16,7 @@ import sys
 from . import acceptance
 from .characters import AffineOrbitChar, DegreeChar, LengthChar, evaluate
 from .corrfinite import run_suite
-from .decompose import apply_move, complete_decomposition, ritt_invariants
+from .decompose import CertificateError, apply_move, complete_decomposition, ritt_invariants
 from .equivalence import SandwichSemigroup, affine_biequiv, affine_conjugate
 from .gaussian import parse_gaussian
 from .hcorr import compose as hcorr_compose
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError, CertificateError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
     except RecursionError:

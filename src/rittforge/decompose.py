@@ -22,6 +22,16 @@ from .poly import (
 )
 
 
+class CertificateError(Exception):
+    """A computed result failed the exact check that certifies it."""
+
+
+def certify_composition(left: Poly, right: Poly, target: Poly, what: str):
+    """Raise CertificateError unless left(right) == target; holds under -O too."""
+    if left.compose(right) != target:
+        raise CertificateError(f"{what}: the composition differs")
+
+
 def decompose_once(p: Poly, r: int):
     """Split p = q(h) with deg h = r, h monic, h(0) = 0; None if no such split.
 
@@ -59,7 +69,7 @@ def decompose_once(p: Poly, r: int):
     q = Poly(tuple(d.constant_value() for d in digits))
     if lead != GR_ONE:
         q = q.scale(lead)
-    assert q.compose(h) == p
+    certify_composition(q, h, p, f"split with right factor degree {r}")
     return q, h
 
 
@@ -84,10 +94,7 @@ class Decomposition:
         if not self.factors:
             raise ValueError("empty decomposition")
         for f in self.factors:
-            if f.degree < 2:
-                raise ValueError("factors must have degree >= 2")
-            if not is_indecomposable(f):
-                raise ValueError(f"factor {f} is decomposable")
+            _check_factor(f)
 
     @property
     def length(self) -> int:
@@ -103,6 +110,20 @@ class Decomposition:
         return tuple(sorted(f.degree for f in self.factors))
 
 
+def _check_factor(f: Poly):
+    if f.degree < 2:
+        raise ValueError("factors must have degree >= 2")
+    if not is_indecomposable(f):
+        raise ValueError(f"factor {f} is decomposable")
+
+
+def _trusted(factors: tuple) -> Decomposition:
+    """A Decomposition of factors already known to be indecomposable."""
+    d = object.__new__(Decomposition)
+    object.__setattr__(d, "factors", factors)
+    return d
+
+
 @dataclass(frozen=True, slots=True)
 class RittInvariants:
     length: int
@@ -116,12 +137,14 @@ class RittInvariants:
 def complete_decomposition(p: Poly) -> Decomposition:
     """Factor into indecomposables, trying smaller right factors first.
 
-    The right factor found at the smallest degree is automatically
-    indecomposable; the left part is split recursively.
+    The search proves every factor indecomposable: a right factor h split
+    off at the smallest degree that works has no split of its own, since
+    h = h1(h2) would give a split at the smaller degree of h2, and the left
+    part that splits at no degree is indecomposable by definition.  So the
+    result is built without validating the factors again.
     """
     if p.degree < 2:
         raise ValueError("no prime decomposition below degree 2")
-    factors = []
     cur = p
     stack = []
     while True:
@@ -136,8 +159,7 @@ def complete_decomposition(p: Poly) -> Decomposition:
         q, h = split
         stack.append(h)
         cur = q
-    factors = list(reversed(stack))
-    return Decomposition(tuple(factors))
+    return _trusted(tuple(reversed(stack)))
 
 
 def ritt_invariants(d: Decomposition) -> RittInvariants:
@@ -216,7 +238,12 @@ def available_moves(d: Decomposition, j: int):
 
 
 def apply_move(d: Decomposition, move) -> Decomposition:
-    """Rewrite the pair at the move's position; the composition is unchanged."""
+    """Rewrite the pair at the move's position; the composition is unchanged.
+
+    Composition is associative, so f_j(f_{j+1}) == f'_j(f'_{j+1}) for the
+    rewritten pair certifies that the whole chain composes to the same
+    polynomial; only the two new factors need validating.
+    """
     j = move.position
     if not 1 <= j < d.length:
         raise ValueError(f"position {j} out of range")
@@ -238,7 +265,7 @@ def apply_move(d: Decomposition, move) -> Decomposition:
         new_pair = (q_new, monomial(move.k))
     else:
         raise TypeError(f"unknown move {move!r}")
-    factors = d.factors[: j - 1] + new_pair + d.factors[j + 1 :]
-    out = Decomposition(factors)
-    assert out.compose() == d.compose()
-    return out
+    certify_composition(*new_pair, f.compose(g), f"rewritten pair at position {j}")
+    for h in new_pair:
+        _check_factor(h)
+    return _trusted(d.factors[: j - 1] + new_pair + d.factors[j + 1 :])

@@ -75,12 +75,23 @@ def horner(coeffs, x, zero):
 
 
 def power(x, k: int, one):
-    """x**k for k >= 0 by square-and-multiply."""
-    result = one
+    """x**k for k >= 0 by square-and-multiply, in at most 2*floor(log2 k) products.
+
+    The result starts at the lowest set bit of k, and x is squared only up
+    to the top bit, so neither a product by ``one`` nor a discarded square
+    is made.
+    """
+    if not k:
+        return one
+    while not k & 1:
+        x = x * x
+        k >>= 1
+    result = x
+    k >>= 1
     while k:
+        x = x * x
         if k & 1:
             result = result * x
-        x = x * x
         k >>= 1
     return result
 

@@ -1,45 +1,56 @@
 """Exact Gaussian rational arithmetic.
 
-A GaussianRational is a pair of reduced big rationals (re, im) standing for
-re + im*i.  All operations are exact; equality is structural because the
-Fraction components are always in lowest terms with positive denominator.
+A GaussianRational is an integer triple (a, b, d) standing for (a + b*i)/d,
+kept canonical: d > 0 and gcd(a, b, d) == 1, with zero as (0, 0, 1).  Equal
+numbers are therefore equal triples, and equality and hashing act on the
+triple.  Arithmetic is on plain ints; a gcd runs only when a result's
+denominator is not 1, so sums and products of Gaussian integers need none.
+The real and imaginary parts are available as reduced Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import dense
 
 
-def _coerce(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x), Fraction(0))
-    return NotImplemented
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GaussianRational:
-    re: Fraction
-    im: Fraction
+    a: int
+    b: int
+    d: int
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re, im):
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        a, b, d = re.numerator * s, im.numerator * q, q * s
+        g = gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
@@ -47,7 +58,10 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -56,16 +70,14 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -73,13 +85,12 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.norm()
-        if n == 0:
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -93,17 +104,18 @@ class GaussianRational:
         return dense.power(self, k, GR_ONE)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _new(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """re^2 + im^2, the exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
 
     def __str__(self):
         return format_gaussian(self)
@@ -112,9 +124,73 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
+_set_a = GaussianRational.__dict__["a"].__set__
+_set_b = GaussianRational.__dict__["b"].__set__
+_set_d = GaussianRational.__dict__["d"].__set__
+_alloc = object.__new__
+
+
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    """The number (a + b*i)/d from a triple that is already canonical."""
+    x = _alloc(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The number (a + b*i)/d for any d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
+
+
+def convolve(xs, ys) -> list:
+    """Coefficients of the product of two polynomials given ascending.
+
+    Each side is brought to one denominator, the lcm of its coefficients'
+    denominators, so the products and sums run on plain ints and every
+    output coefficient is reduced once.
+    """
+    if not xs or not ys:
+        return []
+    dx, xs = _common_denominator(xs)
+    dy, ys = _common_denominator(ys)
+    n = len(xs) + len(ys) - 1
+    re, im = [0] * n, [0] * n
+    for i, (a, b) in enumerate(xs):
+        if not (a or b):
+            continue
+        for j, (c, e) in enumerate(ys, i):
+            re[j] += a * c - b * e
+            im[j] += a * e + b * c
+    return [_reduced(r, s, dx * dy) for r, s in zip(re, im)]
+
+
+def _common_denominator(xs):
+    """(D, [(a * D/d, b * D/d)]) with D the lcm of the denominators d."""
+    dd = lcm(*[x.d for x in xs])
+    if dd == 1:
+        return 1, [(x.a, x.b) for x in xs]
+    return dd, [(x.a * (dd // x.d), x.b * (dd // x.d)) for x in xs]
+
+
+def _coerce(x):
+    if type(x) is GaussianRational:
+        return x
+    if isinstance(x, int):
+        return _new(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _new(x.numerator, 0, x.denominator)
+    return NotImplemented
+
+
+GR_ZERO = _new(0, 0, 1)
+GR_ONE = _new(1, 0, 1)
+GR_I = _new(0, 1, 1)
 
 
 def gr(re, im=0) -> GaussianRational:
@@ -122,16 +198,18 @@ def gr(re, im=0) -> GaussianRational:
     return GaussianRational(Fraction(re), Fraction(im))
 
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def format_gaussian(x: GaussianRational) -> str:
     """Render as 'p/q' or 'p/q+r/s i' ('-' when the imaginary part is negative)."""
-    if x.im == 0:
-        return _frac_str(x.re)
-    sign = "+" if x.im > 0 else "-"
-    return f"{_frac_str(x.re)}{sign}{_frac_str(abs(x.im))} i"
+    if not x.b:
+        return _frac_str(x.a, x.d)
+    sign = "+" if x.b > 0 else "-"
+    return f"{_frac_str(x.a, x.d)}{sign}{_frac_str(abs(x.b), x.d)} i"
 
 
 def parse_gaussian(s: str) -> GaussianRational:

@@ -294,28 +294,38 @@ def render(
     preperiods = np.zeros(cells, dtype=np.int64)
 
     active = np.ones(cells, dtype=bool)
+    # hist[j][at[c]] is the j-th iterate at cell c while c is active.  The
+    # rows hold the cells that were active when they were last compacted,
+    # which happens whenever fewer than half of those are still active.
     hist = [z0]
-    cur = z0
+    at = np.arange(cells)
     for n in range(1, max_iter + 1):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        zn = dense.horner(cs, cur[idx], 0j)
+        if 2 * idx.size < hist[0].size:
+            keep = at[idx]
+            for k, row in enumerate(hist):
+                hist[k] = row[keep]
+            at[idx] = np.arange(idx.size)
+        zn = dense.horner(cs, hist[-1][at[idx]], 0j)
         esc = np.abs(zn) > escape_radius
         codes[idx[esc]] = ESCAPE
         live = idx[~esc]
+        live_at = at[live]
         zlive = zn[~esc]
         unmatched = np.ones(live.size, dtype=bool)
         for j in range(n):
             if not unmatched.any():
                 break
-            hit = unmatched & (np.abs(zlive - hist[j][live]) <= eps)
+            hit = unmatched & (np.abs(zlive - hist[j][live_at]) <= eps)
             if not hit.any():
                 continue
             cells_j = live[hit]
+            rows_j = live_at[hit]
             mult = np.ones(cells_j.size)
             for k in range(j, n):
-                mult = mult * np.abs(dense.horner(der, hist[k][cells_j], 0j))
+                mult = mult * np.abs(dense.horner(der, hist[k][rows_j], 0j))
             att = mult < 1.0 - eps
             rep = mult > 1.0 + eps
             codes[cells_j[att]] = ATTRACTED
@@ -326,10 +336,9 @@ def render(
             active[cells_j] = False
             unmatched = unmatched & ~hit
         active[idx[esc]] = False
-        arr = np.zeros(cells, dtype=complex)
-        arr[idx] = zn
-        hist.append(arr)
-        cur = arr
+        row = np.zeros(hist[0].size, dtype=complex)
+        row[at[idx]] = zn
+        hist.append(row)
 
     if exact:
         R_exact = _exact_map(R, cs)

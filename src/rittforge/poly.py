@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dense
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, gr
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, convolve, gr
 
 
 def _as_gr(x) -> GaussianRational:
@@ -82,7 +82,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly(dense.mul(self.coeffs, other.coeffs, GR_ZERO))
+        return Poly(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -183,8 +183,18 @@ def divmod_poly(p: Poly, d: Poly):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    g = dense.euclid_gcd(a, b, lambda x, y: divmod_poly(x, y)[1])
+    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0.
+
+    Each remainder is made monic before the next division.  Left as they
+    come, the remainders carry scalar factors whose heights grow from step
+    to step, and the cost of the gcd with them.
+    """
+
+    def rem(x, y):
+        r = divmod_poly(x, y)[1]
+        return r.monic() if r else r
+
+    g = dense.euclid_gcd(a, b, rem)
     return g.monic() if g else g
 
 

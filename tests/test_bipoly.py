@@ -152,3 +152,16 @@ def test_poly_lcm():
     a = poly(-1, 1) * poly(-2, 1)
     b = poly(-2, 1) * poly(-3, 1)
     assert poly_lcm(a, b) == (poly(-1, 1) * poly(-2, 1) * poly(-3, 1)).monic()
+
+
+def test_content_is_the_common_factor_in_any_coefficient_order():
+    rng = make_rng(71)
+    cofactors = [poly(-1, 1), poly(-2, 1) * poly(3, 1), poly(5, 1), poly(7)]
+    for _ in range(5):
+        c = rand_poly(rng, rng.randint(1, 3))
+        coeffs = [c * f for f in cofactors]
+        assert BivarPoly(tuple(coeffs)).content() == c.monic()
+        assert BivarPoly(tuple(coeffs[:3])).content() == c.monic()
+        assert BivarPoly(tuple(reversed(coeffs[:3]))).content() == c.monic()
+    assert BivarPoly((poly(0, 1), poly(3), poly(1, 1))).content() == ONE_POLY
+    assert BIVAR_ZERO.content() == Poly(())

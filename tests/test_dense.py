@@ -132,3 +132,25 @@ def test_empty_bivariate_polynomials_are_falsy():
     assert not bool(BiPoly(()))
     assert bool(BivarPoly((ONE_POLY,)))
     assert bool(BiPoly((RF_ONE,)))
+
+
+class Counted:
+    """A ring element that counts the products made with it."""
+
+    products = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(self.v * other.v)
+
+
+def test_power_makes_at_most_two_products_per_bit():
+    one = Counted(1)
+    assert dense.power(Counted(3), 0, one) is one
+    for k in list(range(1, 300)) + [1024, 4097, 65535]:
+        Counted.products = 0
+        assert dense.power(Counted(3), k, one).v == 3**k
+        assert Counted.products <= 2 * (k.bit_length() - 1), k

@@ -190,6 +190,27 @@ class TestRender:
             if isinstance(f, (FiniteExact, AttractedNumeric)):
                 assert g.periods[pos] == f.period
 
+    @pytest.mark.parametrize("R, width", [
+        (poly(Fraction(1, 4), 0, 1), 3.0),
+        (Z2M1, 5.0),
+        (Z2M2, 6.0),
+    ])
+    def test_grid_agrees_with_scalar_orbits_as_cells_drop_out(self, R, width):
+        # wide views: most cells escape at different iterations, so the
+        # history rows are compacted several times during the render
+        g = render(R, center=0.05 + 0.02j, width=width, nx=24, ny=16, max_iter=60)
+        for pos, (x, y) in enumerate(g.cell_coords()):
+            f = float_orbit(R, complex(x, y), max_iter=60)
+            if isinstance(f, InfiniteCertified):
+                assert g.codes[pos] == ESCAPE
+            elif isinstance(f, AttractedNumeric):
+                assert (g.codes[pos], g.periods[pos]) == (ATTRACTED, f.period)
+            elif isinstance(f, FiniteExact):
+                assert (g.codes[pos], g.periods[pos], g.preperiods[pos]) == (
+                    FINITE, f.period, f.preperiod)
+            else:
+                assert g.codes[pos] == UNDECIDED
+
     def test_determinism(self):
         a = render(Z2, width=4.0, nx=64, max_iter=12)
         b = render(Z2, width=4.0, nx=64, max_iter=12)

@@ -74,6 +74,19 @@ def test_gcd():
     assert poly_gcd(ZERO_POLY, ZERO_POLY) == ZERO_POLY
 
 
+def test_gcd_of_products_with_a_common_factor():
+    rng = make_rng(69)
+    for _ in range(20):
+        c = rand_poly(rng, rng.randint(1, 3))
+        a = rand_poly(rng, rng.randint(2, 5)) * c
+        b = rand_poly(rng, rng.randint(2, 5)) * c
+        g = poly_gcd(a, b)
+        assert g.lead() == GR_ONE
+        assert divmod_poly(a, g)[1] == ZERO_POLY
+        assert divmod_poly(b, g)[1] == ZERO_POLY
+        assert divmod_poly(g, c)[1] == ZERO_POLY
+
+
 def test_chebyshev():
     assert chebyshev(0) == ONE_POLY
     assert chebyshev(1) == X
