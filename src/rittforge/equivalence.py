@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .decompose import CertificateError
 from .gaussian import GR_ONE, GaussianRational
 from .poly import AffineMap, Poly, constant, monomial, poly_gcd
 from .ratfun import RatFun, _as_ratfun
@@ -33,13 +34,14 @@ class BiEquivWitness:
 def _gr_key(x: GaussianRational):
     """Total order preferring small denominators, then small magnitudes,
     then nonnegative values."""
+    re, im = x.re, x.im
     return (
-        x.re.denominator,
-        x.im.denominator,
-        abs(x.re.numerator),
-        abs(x.im.numerator),
-        0 if x.re.numerator >= 0 else 1,
-        0 if x.im.numerator >= 0 else 1,
+        re.denominator,
+        im.denominator,
+        abs(re.numerator),
+        abs(im.numerator),
+        0 if re.numerator >= 0 else 1,
+        0 if im.numerator >= 0 else 1,
     )
 
 
@@ -53,10 +55,10 @@ def _witness_key(alpha, witness):
 
 
 def _constraint_system(p: Poly, q: Poly):
-    """Return (beta_poly, constraints) in the variable alpha.
+    """Return (beta_poly, g) in the variable alpha.
 
-    beta_poly gives B's constant term as a linear polynomial in alpha; each
-    constraint is a Poly in alpha that must vanish at a witness.
+    beta_poly gives B's constant term as a linear polynomial in alpha; g is
+    the gcd of the constraints F_j, which vanish exactly at the witnesses.
     """
     n = p.degree
     pn, qn = p.lead(), q.lead()
@@ -66,7 +68,7 @@ def _constraint_system(p: Poly, q: Poly):
             q.coeff(n - 1) / (n * qn),
         )
     )
-    constraints = []
+    g = Poly(())
     for j in range(1, n - 1):
         # alpha^j * sum_m p_m C(m,j) beta^(m-j), compared against q_j
         acc = Poly(())
@@ -75,8 +77,8 @@ def _constraint_system(p: Poly, q: Poly):
             acc = acc + term.scale(p.coeff(m) * comb(m, j))
         c_j = acc * monomial(j)
         f_j = c_j.scale(qn) - monomial(n, q.coeff(j) * pn)
-        constraints.append(f_j)
-    return beta_poly, constraints
+        g = poly_gcd(g, f_j)
+    return beta_poly, g
 
 
 def _candidate(p: Poly, q: Poly, beta_poly: Poly, alpha: GaussianRational):
@@ -88,9 +90,8 @@ def _candidate(p: Poly, q: Poly, beta_poly: Poly, alpha: GaussianRational):
     return BiEquivWitness(AffineMap(gamma, delta), AffineMap(alpha, beta))
 
 
-def _verified_candidates(p: Poly, q: Poly, alphas):
+def _verified_candidates(p: Poly, q: Poly, beta_poly: Poly, alphas):
     out = []
-    beta_poly, _ = _constraint_system(p, q)
     for alpha in alphas:
         if not alpha:
             continue
@@ -118,18 +119,16 @@ def affine_biequiv(p: Poly, q: Poly):
         raise ValueError("bi-orbit equivalence needs degree >= 2")
     if p.degree != q.degree:
         return None
-    beta_poly, constraints = _constraint_system(p, q)
-    g = Poly(())
-    for f_j in constraints:
-        g = poly_gcd(g, f_j)
+    beta_poly, g = _constraint_system(p, q)
     if g.is_zero():
         # every alpha works; return the canonical representative
         w = _candidate(p, q, beta_poly, GR_ONE)
-        assert w.transports(p, q)
+        if not w.transports(p, q):
+            raise CertificateError("bi-orbit witness: the composition differs")
         return w
     if g.degree == 0:
         return None
-    found = _verified_candidates(p, q, gaussian_roots(g))
+    found = _verified_candidates(p, q, beta_poly, gaussian_roots(g))
     if not found:
         return None
     return min(found, key=lambda aw: _witness_key(*aw))[1]
@@ -143,17 +142,14 @@ def has_symmetries(p: Poly):
     """
     if p.degree < 2:
         raise ValueError("symmetry search needs degree >= 2")
-    beta_poly, constraints = _constraint_system(p, p)
-    g = Poly(())
-    for f_j in constraints:
-        g = poly_gcd(g, f_j)
+    beta_poly, g = _constraint_system(p, p)
     if g.is_zero():
         alphas = [a for a in _UNIT_SAMPLES if a != GR_ONE]
     elif g.degree == 0:
         return []
     else:
         alphas = gaussian_roots(g)
-    found = _verified_candidates(p, p, alphas)
+    found = _verified_candidates(p, p, beta_poly, alphas)
     out = [
         w
         for _, w in sorted(found, key=lambda aw: _witness_key(*aw))

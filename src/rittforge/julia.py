@@ -141,11 +141,12 @@ def exact_orbit(R, a, max_iter: int = DEFAULT_MAX_ITER, height_bound: int = DEFA
 
 
 def _height_bits(z: GaussianRational) -> int:
+    re, im = z.re, z.im
     return max(
-        z.re.numerator.bit_length(),
-        z.re.denominator.bit_length(),
-        z.im.numerator.bit_length(),
-        z.im.denominator.bit_length(),
+        re.numerator.bit_length(),
+        re.denominator.bit_length(),
+        im.numerator.bit_length(),
+        im.denominator.bit_length(),
     )
 
 

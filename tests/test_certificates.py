@@ -1,5 +1,6 @@
-"""Certificates of decomposition: explicit checks that hold under ``python -O``,
-and a complete decomposition that does not re-prove its factors."""
+"""Certificates of decomposition, automorphism enumeration and bi-orbit
+witnesses: explicit checks that hold under ``python -O``, and a complete
+decomposition that does not re-prove its factors."""
 
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from rittforge import decompose
+from rittforge import corrfinite, decompose, equivalence
 from rittforge.cli import main
 from rittforge.decompose import (
     AffineShuffle,
@@ -19,6 +20,7 @@ from rittforge.decompose import (
     complete_decomposition,
     decompose_once,
 )
+from rittforge.equivalence import BiEquivWitness
 from rittforge.gaussian import gr
 from rittforge.poly import AffineMap, Poly, chebyshev, monomial
 
@@ -142,3 +144,74 @@ class TestNoReproving:
         assert len(calls) == 2
         assert out.compose() == d.compose()
         assert out.factors[2] == d.factors[2]
+
+
+class TestExplicitChecks:
+    """The automorphism enumeration and the bi-orbit witness raise
+    CertificateError from explicit checks, also under ``python -O``."""
+
+    @staticmethod
+    def _duplicate_first_element(monkeypatch):
+        real = corrfinite._ambient
+
+        def duplicated(X, ambient):
+            elements, ideal = real(X, ambient)
+            return elements + elements[:1], ideal
+
+        monkeypatch.setattr(corrfinite, "_ambient", duplicated)
+
+    def test_cli_exits_1_when_alpha_is_not_injective(self, monkeypatch, capsys):
+        self._duplicate_first_element(monkeypatch)
+        assert main(["corr", "verify", "--n", "2", "--suite", "aut"]) == 1
+        assert "alpha" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_wrong_biequiv_witness_raises(self, monkeypatch):
+        good = equivalence._candidate
+
+        def shifted(p, q, beta_poly, alpha):
+            w = good(p, q, beta_poly, alpha)
+            return BiEquivWitness(AffineMap(w.A.a, w.A.b + gr(1)), w.B)
+
+        z2, z2_plus_1 = poly(0, 0, 1), poly(1, 0, 1)
+        assert equivalence.affine_biequiv(z2, z2_plus_1).transports(z2, z2_plus_1)
+        monkeypatch.setattr(equivalence, "_candidate", shifted)
+        with pytest.raises(CertificateError):
+            equivalence.affine_biequiv(z2, z2_plus_1)
+
+    def test_checks_hold_under_python_O(self):
+        script = """
+import sys
+from rittforge import corrfinite, equivalence
+from rittforge.decompose import CertificateError
+from rittforge.equivalence import BiEquivWitness
+from rittforge.gaussian import gr
+from rittforge.poly import AffineMap, Poly
+
+def p(*cs):
+    return Poly(tuple(gr(c) for c in cs))
+
+raised = 0
+real = corrfinite._ambient
+def duplicated(X, ambient):
+    elements, ideal = real(X, ambient)
+    return elements + elements[:1], ideal
+corrfinite._ambient = duplicated
+try:
+    corrfinite.enumerate_automorphisms(corrfinite.FinSet(2), "MapX")
+except CertificateError:
+    raised += 1
+good = equivalence._candidate
+def shifted(f, g, beta_poly, alpha):
+    w = good(f, g, beta_poly, alpha)
+    return BiEquivWitness(AffineMap(w.A.a, w.A.b + gr(1)), w.B)
+equivalence._candidate = shifted
+try:
+    equivalence.affine_biequiv(p(0, 0, 1), p(1, 0, 1))
+except CertificateError:
+    raised += 1
+print(sys.flags.optimize, raised)
+"""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["1", "2"]

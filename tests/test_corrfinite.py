@@ -1,11 +1,14 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from rittforge import corrfinite
 from rittforge.corrfinite import (
     FinSet,
     FiniteCorr,
     HomTable,
+    SchreierReport,
     all_corrs,
     all_maps,
     alpha,
@@ -26,6 +29,7 @@ from rittforge.corrfinite import (
     run_suite,
     schreier_extract,
 )
+from rittforge.decompose import CertificateError
 
 X2, X3 = FinSet(2), FinSet(3)
 
@@ -246,3 +250,95 @@ class TestSuites:
             run_suite("nope", 2)
         with pytest.raises(ValueError):
             run_suite("alpha", 4)
+
+
+def _count_scans(monkeypatch):
+    """Record every all-pairs HomTable check made from now on."""
+    scans = []
+    real = HomTable.__post_init__
+    monkeypatch.setattr(HomTable, "__post_init__", lambda self: scans.append(self) or real(self))
+    return scans
+
+
+class TestCertifiedOnce:
+    @pytest.mark.parametrize("n, ambient", [(3, "MapX"), (4, "MapX"), (3, "CorrX")])
+    def test_tables_are_the_conjugations(self, n, ambient):
+        X = FinSet(n)
+        elements = all_maps(X) if ambient == "MapX" else all_corrs(X)
+        expected = set()
+        for values in permutations(range(n)):
+            f = graph_of_map(X, values)
+            f_inv = inverse(f)
+            expected.add(tuple(compose(f, compose(k, f_inv)) for k in elements))
+        autos = enumerate_automorphisms(X, ambient)
+        assert all(t.domain == tuple(elements) for t in autos)
+        got = [tuple(t.images[k] for k in elements) for t in autos]
+        assert len(got) == factorial(n) and set(got) == expected
+
+    @pytest.mark.parametrize("n, ambient", [
+        (1, "MapX"), (2, "MapX"), (3, "MapX"), (4, "MapX"),
+        (1, "CorrX"), (2, "CorrX"), (3, "CorrX"),
+    ])
+    def test_no_all_pairs_scan(self, monkeypatch, n, ambient):
+        scans = _count_scans(monkeypatch)
+        assert len(enumerate_automorphisms(FinSet(n), ambient)) == factorial(n)
+        assert scans == []
+
+    @pytest.mark.parametrize("rejection", ["raises", "not bijective"])
+    def test_rejected_automorphism_is_certified_by_the_scan(self, monkeypatch, rejection):
+        real = corrfinite.schreier_extract
+        rejected = (1, 2, 0)
+
+        def rejecting(phi):
+            report = real(phi)
+            if report.f != rejected:
+                return report
+            if rejection == "raises":
+                raise ValueError("rejected")
+            return SchreierReport(report.f, False, False)
+
+        monkeypatch.setattr(corrfinite, "schreier_extract", rejecting)
+        scans = _count_scans(monkeypatch)
+        autos = enumerate_automorphisms(X3, "MapX")
+        assert len(autos) == 6 and len(scans) == 1
+        assert scans[0].images == conjugation_table(X3, rejected).images
+        assert any(t.images == scans[0].images for t in autos)
+
+    def test_candidate_failing_both_certificates_is_dropped(self, monkeypatch):
+        real = corrfinite.schreier_extract
+        rejected = (1, 0, 2)
+
+        def rejecting(phi):
+            report = real(phi)
+            if report.f == rejected:
+                raise ValueError("rejected")
+            return report
+
+        def failing_scan(self):
+            raise ValueError("table is not multiplicative")
+
+        monkeypatch.setattr(corrfinite, "schreier_extract", rejecting)
+        monkeypatch.setattr(HomTable, "__post_init__", failing_scan)
+        autos = enumerate_automorphisms(X3, "MapX")
+        assert len(autos) == 5
+        assert {real(t).f for t in autos} == set(permutations(range(3))) - {rejected}
+
+    def test_bijective_table_off_the_conjugation_is_rejected(self):
+        # constants fixed, so f is the identity, but phi(id) = swap
+        dom = tuple(all_maps(X2))
+        swap, ident = graph_of_map(X2, [1, 0]), identity_corr(X2)
+        images = {k: k for k in dom}
+        images[ident], images[swap] = swap, ident
+        with pytest.raises(ValueError, match="not geometric"):
+            schreier_extract(corrfinite._unscanned_table(dom, images))
+
+    def test_alpha_not_injective_raises(self, monkeypatch):
+        real = corrfinite._ambient
+
+        def duplicated(X, ambient):
+            elements, ideal = real(X, ambient)
+            return elements + elements[:1], ideal
+
+        monkeypatch.setattr(corrfinite, "_ambient", duplicated)
+        with pytest.raises(CertificateError, match="alpha"):
+            enumerate_automorphisms(X2, "MapX")
