@@ -8,6 +8,7 @@ the full acceptance suite.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -203,7 +204,9 @@ def _cmd_suite(args) -> int:
     return 0 if all(passed for _, passed, _ in results) else 1
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process: parsing never mutates it."""
     jsonish = argparse.ArgumentParser(add_help=False)
     # SUPPRESS so a leaf parser never clobbers a --json given before the
     # subcommand name

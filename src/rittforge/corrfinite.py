@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 from math import factorial
 
@@ -137,10 +138,14 @@ def block(r1: FiniteCorr, r2: FiniteCorr) -> FiniteCorr:
     return compose(r1, inverse(r2))
 
 
-def minimal_ideal(X: FinSet):
-    """All constant correspondences, one per nonempty subset of X."""
+@cache
+def minimal_ideal(X: FinSet) -> tuple:
+    """All constant correspondences, one per nonempty subset of X.
+
+    Built once per ground set; the tuple is shared by every caller.
+    """
     n = X.size
-    return [FiniteCorr(X, (mask,) * n) for mask in range(1, 1 << n)]
+    return tuple(FiniteCorr(X, (mask,) * n) for mask in range(1, 1 << n))
 
 
 def alpha(k: FiniteCorr):
